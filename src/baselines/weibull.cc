@@ -4,8 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/trace.h"
 #include "core/covariates.h"
-#include "stats/linalg.h"
 
 namespace piperisk {
 namespace baselines {
@@ -29,6 +29,7 @@ bool AgeInterval(const net::Pipe& pipe, const data::TemporalSplit& split,
 WeibullModel::WeibullModel(WeibullConfig config) : config_(config) {}
 
 Status WeibullModel::Fit(const core::ModelInput& input) {
+  telemetry::ScopedSpan span("baselines.weibull.fit");
   const size_t n = input.num_pipes();
   if (n == 0) return Status::InvalidArgument("no pipes to fit");
 

@@ -15,16 +15,16 @@ namespace baselines {
 /// (covariates multiplicative, as in the paper). With year-resolution data
 /// the likelihood is Poisson on per-pipe training counts with mean
 ///   mu_i = exp(w' z_i) * alpha * (b_i^beta - a_i^beta),
-/// where [a_i, b_i] is the pipe's observed age interval. Fitting
-/// alternates a profile step on beta (golden-section on the 1-D profile
-/// likelihood) with a Newton step on (log alpha, w).
+/// where [a_i, b_i] is the pipe's observed age interval. Fitting runs a
+/// golden-section search over beta on the profile likelihood; each
+/// evaluation at a fixed beta is a full Newton fit of (log alpha, w), a
+/// Poisson regression with exposure b_i^beta - a_i^beta.
 struct WeibullConfig {
   double ridge = 1e-3;
-  int outer_iterations = 25;
-  int newton_iterations = 40;
+  int outer_iterations = 25;   ///< golden-section steps on beta
+  int newton_iterations = 40;  ///< per profile fit
   double beta_min = 0.2;
   double beta_max = 6.0;
-  double tolerance = 1e-7;
 };
 
 class WeibullModel : public core::FailureModel {

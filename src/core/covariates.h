@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "stats/ridge_newton.h"
 
 namespace piperisk {
 namespace core {
@@ -17,18 +18,14 @@ namespace core {
 /// whose normalised fitted multiplier m_i = exp(w' z_i) scales each
 /// segment's prior failure rate inside the hierarchy. Keeping this fit
 /// outside the MCMC preserves the Beta–Bernoulli collapsed updates.
-struct PoissonRegressionConfig {
-  double ridge = 1.0;        ///< L2 penalty on weights (not intercept)
-  int max_iterations = 100;  ///< Newton iterations
-  double tolerance = 1e-8;   ///< convergence on gradient norm
-};
+using PoissonRegressionConfig = stats::RidgeNewtonConfig;
 
 /// Fitted log-linear rate model.
 class PoissonRegression {
  public:
   /// Fits on rows `features` with event counts `counts` and exposures
-  /// `exposures` (> 0; e.g. observed years). Uses Newton's method with step
-  /// halving; fails if dimensions are inconsistent or the fit diverges.
+  /// `exposures` (> 0; e.g. observed years) with stats::FitRidgeNewton;
+  /// fails if dimensions are inconsistent or the fit diverges.
   static Result<PoissonRegression> Fit(
       const std::vector<std::vector<double>>& features,
       const std::vector<double>& counts, const std::vector<double>& exposures,

@@ -12,6 +12,7 @@
 #include "baselines/survival.h"
 #include "baselines/logistic.h"
 #include "baselines/weibull.h"
+#include "common/telemetry.h"
 #include "core/covariates.h"
 #include "stats/distributions.h"
 #include "stats/special.h"
@@ -72,6 +73,69 @@ TEST(PoissonRegressionTest, ValidatesInputs) {
   EXPECT_FALSE(
       core::PoissonRegression::Fit({{1.0}, {1.0, 2.0}}, {1, 1}, {1, 1}, {})
           .ok());
+}
+
+/// Penalised log likelihood of a fitted Poisson regression, evaluated as the
+/// solver evaluates it.
+double PoissonPenalisedLogLik(const core::PoissonRegression& fit,
+                              const std::vector<std::vector<double>>& rows,
+                              const std::vector<double>& counts,
+                              const std::vector<double>& exposure,
+                              double ridge) {
+  double ll = 0.0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    double eta = std::clamp(fit.intercept() + fit.LinearPredictor(rows[i]),
+                            -30.0, 30.0);
+    ll += counts[i] * eta - exposure[i] * std::exp(eta);
+  }
+  for (double w : fit.weights()) ll -= 0.5 * ridge * w * w;
+  return ll;
+}
+
+TEST(PoissonRegressionTest, StopsWhenStepsStopImprovingOnUnscaledColumn) {
+  // An unscaled age column (0..110) makes the Hessian large in its
+  // direction, so once the log likelihood (~ -2400) reaches its rounding
+  // floor the gradient test 1e-8 * (1 + |ll|) is never met while step
+  // halving keeps accepting steps within 1e-12 of the current value.
+  // Without the stop on a step that does not raise the log likelihood, this
+  // fit runs all 100 iterations.
+  stats::Rng rng(1);
+  const size_t n = 3000;
+  std::vector<std::vector<double>> rows;
+  std::vector<double> counts, exposure(n, 1.0);
+  for (size_t i = 0; i < n; ++i) {
+    double age = static_cast<double>(rng.NextBounded(111));
+    double z = rng.NextDouble() - 0.5;
+    rows.push_back({age, z});
+    counts.push_back(
+        stats::SamplePoisson(&rng, 0.5 * std::exp(0.015 * age + 0.5 * z)));
+  }
+  core::PoissonRegressionConfig config;
+  config.ridge = 1e-3;
+  auto fit = core::PoissonRegression::Fit(rows, counts, exposure, config);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_LT(fit->iterations_used(), 20);
+  // Penalised log likelihood the 100-iteration fit reached.
+  const double kFullBudgetLogLik = -0x1.2a501ea7553f9p+11;
+  EXPECT_GE(PoissonPenalisedLogLik(*fit, rows, counts, exposure, config.ridge),
+            kFullBudgetLogLik);
+}
+
+TEST(PoissonRegressionTest, CountsNewtonStepsInTelemetry) {
+  telemetry::Counter* const steps =
+      telemetry::Registry::Global().GetCounter("glm.newton.iterations");
+  const std::int64_t before = steps->Value();
+  stats::Rng rng(24);
+  std::vector<std::vector<double>> rows(400, std::vector<double>(1));
+  std::vector<double> counts(400), exposure(400, 1.0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i][0] = stats::SampleNormal(&rng);
+    counts[i] = stats::SamplePoisson(&rng, std::exp(0.5 * rows[i][0]));
+  }
+  auto fit = core::PoissonRegression::Fit(rows, counts, exposure, {});
+  ASSERT_TRUE(fit.ok());
+  EXPECT_GT(fit->iterations_used(), 0);
+  EXPECT_EQ(steps->Value() - before, fit->iterations_used());
 }
 
 TEST(PoissonRegressionTest, NormalisedMultipliersMeanOne) {
@@ -402,6 +466,86 @@ TEST(LogisticTest, ModelAdapterWorksEndToEnd) {
 TEST(LogisticTest, ValidatesInputs) {
   EXPECT_FALSE(LogisticRegression::Fit({}, {}, {}).ok());
   EXPECT_FALSE(LogisticRegression::Fit({{1.0}}, {1, 0}, {}).ok());
+}
+
+// --- Solver goldens ---------------------------------------------------------------
+//
+// Bit-exact fits on the shared region, recorded from the separate Poisson
+// and logistic Newton loops that stats::FitRidgeNewton replaced. The shared
+// solver changes how the gradient and Hessian are summed, not the sums, so
+// it must reproduce them exactly.
+
+void ExpectBitIdentical(const std::vector<double>& actual,
+                        const std::vector<double>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(actual[c], expected[c]) << "coefficient " << c;
+  }
+}
+
+TEST(SolverGoldenTest, WeibullFitIsBitIdentical) {
+  WeibullModel model;
+  ASSERT_TRUE(model.Fit(GetSharedRegion().cwm_input).ok());
+  EXPECT_EQ(model.beta(), 0x1.19204334ab985p-1);
+  EXPECT_EQ(model.alpha(), 0x1.2c0afa968665fp-5);
+  ExpectBitIdentical(model.coefficients(), {
+    0x1.86cf1c9de246p-3, -0x1.acabefa1e8245p-2, 0x1.22eee9ecb0687p-3,
+    0x1.323ff6dbb6ccfp-5, -0x1.8a647a4d46c95p-3, 0x1.0e094c46f571ep-3,
+    0x1.ee8fe760a66b7p-1, -0x1.adb738970a2bcp-5, 0x1.35fee3c644a27p-5,
+    0x1.be0d644808207p-2, -0x1.e9bd6eb7a379p-2, 0x1.085709f76d945p-3, 0x0p+0,
+    0x0p+0, -0x1.b64393adde5dep-2, 0x1.41ec888fdc393p-2, 0x1.8fa110dd67e63p-10,
+    0x1.32dcd812c1dcfp-3, -0x1.c5d533deb7c1ap-5, -0x1.b9c0946f288d5p-4,
+    0x1.3a4d02e439f41p-3, 0x1.cdf9d38a4084fp-6, -0x1.088199488a22dp-2,
+    0x1.b3ab52f314a7bp-6, 0x1.e3259f657fb5bp-4, 0x1.62f14666bb5c2p-2, 0x0p+0,
+    0x1.b5092fe8763e7p-5, -0x1.f8d9fa8dbb14fp-7, 0x1.2a1651ecbfa48p-4,
+    -0x1.4e3232afc127fp-3, 0x0p+0, 0x1.0ae69ab5c2864p-2,
+  });
+}
+
+TEST(SolverGoldenTest, LogisticFitIsBitIdentical) {
+  LogisticModel model;
+  ASSERT_TRUE(model.Fit(GetSharedRegion().cwm_input).ok());
+  ASSERT_NE(model.fitted(), nullptr);
+  EXPECT_EQ(model.fitted()->intercept(), -0x1.b5665206912aep+1);
+  ExpectBitIdentical(model.fitted()->weights(), {
+    0x1.2204ebc325c23p-3, -0x1.4d0e0c552372cp-1, 0x1.266274efb8fbbp-2,
+    0x1.02f6873192a72p-2, 0x1.65c35bd063012p-3, 0x1.4d7a7d77f2888p-3,
+    0x1.6e19d8c73e5b8p-1, -0x1.c5702c0115036p-3, -0x1.77c3ca13069c5p-4,
+    0x1.a0d00a8d59daap-1, -0x1.ca85a19f577ccp-2, 0x1.ca533c5aa7fccp-5, 0x0p+0,
+    0x0p+0, -0x1.4598d3b9f4932p-5, 0x1.9c99f3e6972a4p-6, -0x1.5887d4bf07605p-3,
+    0x1.70248590e20cdp-2, 0x1.0f78de3490ec9p-3, -0x1.d9d49445d2796p-2,
+    0x1.be859d224cf01p-3, 0x1.1ebe0a7402adap-3, -0x1.a18801b07b0ddp-2,
+    0x1.31e7282ac68fcp-6, 0x1.4395a11bfab3bp-3, 0x1.3ea8227e53327p-1, 0x0p+0,
+    0x1.7bfa73843a94bp-4, -0x1.c273253511f81p-5, 0x1.0990c596495e1p-4,
+    -0x1.27d6585eb35b5p-3, 0x0p+0, 0x1.0c2bc2c2c8693p-2,
+  });
+}
+
+TEST(SolverGoldenTest, PoissonFitIsBitIdentical) {
+  // Training counts over 11 years of exposure per km, default ridge.
+  const core::ModelInput& input = GetSharedRegion().cwm_input;
+  std::vector<double> counts, exposure;
+  for (size_t i = 0; i < input.num_pipes(); ++i) {
+    counts.push_back(input.outcomes[i].train_failures);
+    exposure.push_back(11.0 *
+                       std::max(input.outcomes[i].length_m / 1000.0, 0.01));
+  }
+  auto fit =
+      core::PoissonRegression::Fit(input.pipe_features, counts, exposure, {});
+  ASSERT_TRUE(fit.ok());
+  EXPECT_EQ(fit->intercept(), -0x1.3e9cc3fd751a9p+1);
+  ExpectBitIdentical(fit->weights(), {
+    0x1.72004a929591ap-3, -0x1.949dc5b795f93p-2, 0x1.2891f8984efa3p-3,
+    0x1.67a32aee07d18p-6, -0x1.860f557de2991p-3, 0x1.1db5fafda3d0ep-12,
+    0x1.74280d6bc2a85p-1, -0x1.60d9da7405fd9p-5, 0x1.0100dff833bd7p-5,
+    0x1.a86d7de94e21p-2, -0x1.e881d07accaa6p-2, 0x1.2c6aca40e5f8ep-3, 0x0p+0,
+    0x0p+0, -0x1.adee226ebcfd6p-2, 0x1.386a22d03a82fp-2, 0x1.3e4fec7fc9a52p-5,
+    0x1.47772c9adcf17p-4, -0x1.86499ff848428p-4, -0x1.bf5038105e319p-6,
+    0x1.78ecf2d6f8328p-4, 0x1.8483a004c0fcep-5, -0x1.89ce4b35f1dd6p-3,
+    0x1.cd303fbeec47ep-9, 0x1.6256c6f30888fp-4, 0x1.2866143245e41p-2, 0x0p+0,
+    0x1.1d39cc0b45b45p-5, 0x1.76ef90ce9d5ddp-6, 0x1.827ae7143903fp-6,
+    -0x1.01d1d4687d198p-3, 0x0p+0, 0x1.f49f2357065fap-3,
+  });
 }
 
 }  // namespace
